@@ -31,14 +31,20 @@
 //! * **REMAP** — `remap_nfs`: flip the NF→switch routing so learned
 //!   entries and installs target the new homes.
 //! * **RESUME** — `resume_ingress`: release parked traffic in arrival
-//!   order. Migration downtime is the PAUSE→RESUME wall-clock span.
+//!   order. Migration downtime is the PAUSE→RESUME wall-clock span, and
+//!   [`MigrationOutcome::phases_ns`] splits it by phase.
+//!
+//! A failure anywhere from PAUSE on still runs RESUME before the error is
+//! returned, so parked and later packets resolve instead of waiting
+//! forever. A failure before SWAP leaves the old members serving with
+//! their state untouched.
 
 use crate::chain::ChainSet;
-use crate::deploy::{DeployError, DeployOptions};
+use crate::deploy::{DeployError, DeployOptions, Deployment};
 use crate::multiswitch::{build_cluster_members, ClusterPlacement, ClusterWiring};
 use crate::nfmodule::NfModule;
 use crate::transport::{ClusterError, ClusterHandle};
-use dejavu_asic::{PipeletId, PortId, StateSnapshot, TofinoProfile};
+use dejavu_asic::{PipeletId, PortId, StateSnapshot, Switch, TofinoProfile};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -103,6 +109,88 @@ pub struct FleetSpec<'a> {
     pub deploy: &'a DeployOptions,
 }
 
+/// One step of the migration window, in execution order (BUILD runs
+/// before the window opens and is not timed here).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MigrationPhase {
+    /// Park ingress and quiesce in-flight packets.
+    Pause,
+    /// Turn pending learn digests into installed entries.
+    Flush,
+    /// Checkpoint every pipelet and split the state per NF.
+    Snapshot,
+    /// Adopt the new members.
+    Swap,
+    /// Advance the new members' clocks to the snapshotted clock.
+    Resync,
+    /// Restore each NF's state onto its new home.
+    Restore,
+    /// Point NF routing at the new homes.
+    Remap,
+    /// Release parked traffic.
+    Resume,
+}
+
+impl MigrationPhase {
+    /// Every phase, in execution order.
+    pub const ALL: [MigrationPhase; 8] = [
+        MigrationPhase::Pause,
+        MigrationPhase::Flush,
+        MigrationPhase::Snapshot,
+        MigrationPhase::Swap,
+        MigrationPhase::Resync,
+        MigrationPhase::Restore,
+        MigrationPhase::Remap,
+        MigrationPhase::Resume,
+    ];
+
+    /// Lower-case phase name, as printed in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            MigrationPhase::Pause => "pause",
+            MigrationPhase::Flush => "flush",
+            MigrationPhase::Snapshot => "snapshot",
+            MigrationPhase::Swap => "swap",
+            MigrationPhase::Resync => "resync",
+            MigrationPhase::Restore => "restore",
+            MigrationPhase::Remap => "remap",
+            MigrationPhase::Resume => "resume",
+        }
+    }
+}
+
+/// Times consecutive phases from one start instant, so the phases tile the
+/// window and never sum to more than it.
+struct PhaseClock {
+    started: Instant,
+    lap: Instant,
+    phases_ns: Vec<(MigrationPhase, u64)>,
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        let now = Instant::now();
+        PhaseClock {
+            started: now,
+            lap: now,
+            phases_ns: Vec::with_capacity(MigrationPhase::ALL.len()),
+        }
+    }
+
+    /// Closes `phase` at the current instant.
+    fn lap(&mut self, phase: MigrationPhase) {
+        let now = Instant::now();
+        let ns = (now - self.lap).as_nanos() as u64;
+        self.phases_ns.push((phase, ns));
+        self.lap = now;
+    }
+
+    /// Nanoseconds from start to the last closed phase.
+    fn total_ns(&self) -> u64 {
+        (self.lap - self.started).as_nanos() as u64
+    }
+}
+
 /// What a completed migration did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationOutcome {
@@ -123,6 +211,10 @@ pub struct MigrationOutcome {
     pub quiesced_packets: u64,
     /// PAUSE→RESUME wall-clock time — the migration's downtime window.
     pub duration_ns: u64,
+    /// Wall-clock time per phase, one entry per [`MigrationPhase`] in
+    /// execution order. The phases are consecutive slices of the window,
+    /// so they sum to at most `duration_ns`.
+    pub phases_ns: Vec<(MigrationPhase, u64)>,
 }
 
 /// Why a migration failed.
@@ -190,8 +282,10 @@ fn split_by_nf(snap: &StateSnapshot, nfs: &[String]) -> Vec<(String, StateSnapsh
 /// On success the cluster serves the new placement with every learned
 /// flow re-seated; parked traffic has been released and will resolve
 /// through the normal delivery path. On [`MigrationError::Deploy`] the
-/// cluster is untouched; on [`MigrationError::Cluster`] the cluster may
-/// be mid-swap and should be torn down.
+/// cluster is untouched. On [`MigrationError::Cluster`] ingress has been
+/// resumed all the same: if the failure came before SWAP the old members
+/// still serve with their state intact; after it, the cluster may be
+/// mid-swap and should be torn down.
 pub fn migrate(
     handle: &mut ClusterHandle,
     spec: &FleetSpec<'_>,
@@ -212,31 +306,66 @@ pub fn migrate(
         spec.deploy,
     )?;
 
+    let mut clock = PhaseClock::start();
+    let cut = cut_over(
+        handle,
+        &mut clock,
+        members,
+        &nf_names,
+        &delta,
+        new_placement,
+    );
+
+    // RESUME — release parked traffic; downtime window closes. This runs
+    // even when the cut-over failed, so no packet stays parked.
+    let resumed = handle.resume_ingress();
+    clock.lap(MigrationPhase::Resume);
+    let mut outcome = cut?;
+    outcome.parked_packets = resumed?;
+    outcome.duration_ns = clock.total_ns();
+    outcome.phases_ns = clock.phases_ns;
+    Ok(outcome)
+}
+
+/// PAUSE through REMAP: everything in the migration window except the
+/// RESUME that closes it.
+fn cut_over(
+    handle: &mut ClusterHandle,
+    clock: &mut PhaseClock,
+    members: Vec<(Switch, Deployment)>,
+    nf_names: &[String],
+    delta: &PlacementDelta,
+    new_placement: &ClusterPlacement,
+) -> Result<MigrationOutcome, ClusterError> {
     // PAUSE — quiesce barrier; in-flight packets finish, new ones park.
-    let started = Instant::now();
     let quiesced_packets = handle.pause_ingress()?;
+    clock.lap(MigrationPhase::Pause);
 
     // FLUSH — every digest from pre-pause traffic becomes an entry.
     handle.process_digests()?;
+    clock.lap(MigrationPhase::Flush);
 
     // SNAPSHOT — checkpoint, then split per NF.
     let snapshots = handle.snapshot_state()?;
     let max_clock = snapshots.iter().map(|(_, _, s)| s.clock).max().unwrap_or(0);
     let mut per_nf: Vec<(String, StateSnapshot)> = Vec::new();
     for (_, _, snap) in &snapshots {
-        per_nf.extend(split_by_nf(snap, &nf_names));
+        per_nf.extend(split_by_nf(snap, nf_names));
     }
+    clock.lap(MigrationPhase::Snapshot);
 
     // SWAP — adopt the new members (empty state, zero clocks).
     for (switch, (member_switch, deployment)) in members.into_iter().enumerate() {
         handle.swap_member(switch, member_switch, deployment)?;
     }
+    clock.lap(MigrationPhase::Swap);
 
     // RESYNC — advance empty tables to the old clock so restored entries
     // get idle stamps that survive the next advance_time.
     if max_clock > 0 {
         handle.advance_time(max_clock)?;
     }
+    clock.lap(MigrationPhase::Resync);
 
     // RESTORE — each NF's slice onto its new home.
     let mut outcome = MigrationOutcome {
@@ -257,6 +386,7 @@ pub fn migrate(
             outcome.flows_migrated += restored;
         }
     }
+    clock.lap(MigrationPhase::Restore);
 
     // REMAP — route learned entries and installs to the new homes.
     let nf_switch: BTreeMap<String, usize> = nf_names
@@ -264,10 +394,7 @@ pub fn migrate(
         .filter_map(|nf| new_placement.switch_of(nf).map(|sw| (nf.clone(), sw)))
         .collect();
     handle.remap_nfs(nf_switch)?;
-
-    // RESUME — release parked traffic; downtime window closes.
-    outcome.parked_packets = handle.resume_ingress()?;
-    outcome.duration_ns = started.elapsed().as_nanos() as u64;
+    clock.lap(MigrationPhase::Remap);
     Ok(outcome)
 }
 

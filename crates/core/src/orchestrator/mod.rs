@@ -29,7 +29,9 @@ pub mod search;
 
 pub use detector::{DetectorConfig, ShiftDecision, ShiftDetector};
 pub use fleet::{FleetProblem, FleetScore, FleetSlot};
-pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, NfMove, PlacementDelta};
+pub use migrate::{
+    migrate, FleetSpec, MigrationError, MigrationOutcome, MigrationPhase, NfMove, PlacementDelta,
+};
 pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutcome, SwarmSearch};
 
 use crate::multiswitch::ClusterPlacement;

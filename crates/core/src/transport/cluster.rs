@@ -345,9 +345,32 @@ enum GatherAcc {
     },
 }
 
+impl GatherAcc {
+    /// Answers the caller with `error` instead of the accumulation.
+    fn reject(self, error: ClusterError) {
+        match self {
+            GatherAcc::Evictions { reply, .. } => {
+                let _ = reply.send(Err(error));
+            }
+            GatherAcc::Metrics { reply, .. } => {
+                let _ = reply.send(Err(error));
+            }
+            GatherAcc::Snapshot { reply, .. } => {
+                let _ = reply.send(Err(error));
+            }
+            GatherAcc::Drain { reply } => {
+                let _ = reply.send(Err(error));
+            }
+        }
+    }
+}
+
 struct Gather {
     expect: usize,
     acc: GatherAcc,
+    /// The first member failure (a nack or an unparseable reply); the
+    /// gather still waits for every member, then replies with it.
+    failed: Option<ClusterError>,
 }
 
 struct Controller {
@@ -648,6 +671,7 @@ impl Controller {
             Gather {
                 expect: self.n,
                 acc,
+                failed: None,
             },
         );
         id
@@ -711,8 +735,8 @@ impl Controller {
             }
             TelemetryMsg::Metrics { seq, json } => {
                 let snap = parse_json(&json)
-                    .and_then(|v| snapshot_from_json(&v))
-                    .unwrap_or_default();
+                    .map_err(|e| e.to_string())
+                    .and_then(|v| snapshot_from_json(&v));
                 self.settle_metrics(seq, snap);
             }
             TelemetryMsg::Snapshot { seq, items } => self.settle_snapshot(seq, items),
@@ -745,6 +769,9 @@ impl Controller {
             Some(Pending::Gather { id, switch: _ }) => {
                 // DrainDone (or a nack standing in for a structured reply):
                 // nothing to accumulate, just count the arrival.
+                if let (Err(e), Some(g)) = (outcome, self.gathers.get_mut(&id)) {
+                    g.failed.get_or_insert(e);
+                }
                 self.gather_done(seq, id);
             }
             Some(Pending::Bye) => {
@@ -756,15 +783,23 @@ impl Controller {
         }
     }
 
-    fn settle_metrics(&mut self, seq: u64, snap: MetricsSnapshot) {
+    fn settle_metrics(&mut self, seq: u64, snap: Result<MetricsSnapshot, String>) {
         if let Some(Pending::Gather { id, switch }) = self.pending.remove(&seq) {
             if let Some(g) = self.gathers.get_mut(&id) {
-                if let GatherAcc::Metrics { acc, .. } = &mut g.acc {
-                    // Keep per-switch order stable regardless of arrival order.
-                    while acc.len() <= switch {
-                        acc.push(MetricsSnapshot::default());
+                match (snap, &mut g.acc) {
+                    (Ok(snap), GatherAcc::Metrics { acc, .. }) => {
+                        // Keep per-switch order stable regardless of arrival order.
+                        while acc.len() <= switch {
+                            acc.push(MetricsSnapshot::default());
+                        }
+                        acc[switch] = snap;
                     }
-                    acc[switch] = snap;
+                    (Err(e), _) => {
+                        g.failed.get_or_insert(ClusterError::Remote(format!(
+                            "switch {switch}: metrics scrape does not parse: {e}"
+                        )));
+                    }
+                    _ => {}
                 }
             }
             self.gather_done(seq, id);
@@ -776,8 +811,13 @@ impl Controller {
             if let Some(g) = self.gathers.get_mut(&id) {
                 if let GatherAcc::Snapshot { acc, .. } = &mut g.acc {
                     for (pipelet, json) in items {
-                        if let Ok(snap) = StateSnapshot::from_json(&json) {
-                            acc.push((switch, pipelet, snap));
+                        match StateSnapshot::from_json(&json) {
+                            Ok(snap) => acc.push((switch, pipelet, snap)),
+                            Err(e) => {
+                                g.failed.get_or_insert(ClusterError::Remote(format!(
+                                    "switch {switch}: {pipelet} state snapshot does not parse: {e}"
+                                )));
+                            }
                         }
                     }
                 }
@@ -811,6 +851,10 @@ impl Controller {
             return;
         }
         let g = self.gathers.remove(&id).expect("present");
+        if let Some(e) = g.failed {
+            g.acc.reject(e);
+            return;
+        }
         match g.acc {
             GatherAcc::Evictions { acc, reply } => {
                 let mut report = ClusterReport::sized(self.n);
@@ -1106,7 +1150,8 @@ impl ClusterHandle {
     }
 
     /// Scrapes every member's metrics and returns merged + per-member
-    /// snapshots.
+    /// snapshots. A member whose scrape does not parse fails the whole
+    /// call with [`ClusterError::Remote`] naming the switch.
     pub fn metrics_snapshot(&mut self) -> Result<ClusterScrape, ClusterError> {
         let (tx, rx) = channel();
         self.request(Request::Scrape { reply: tx })?;
@@ -1114,7 +1159,10 @@ impl ClusterHandle {
     }
 
     /// Snapshots the dynamic state of every loaded pipelet across the
-    /// cluster (the cluster-wide checkpoint).
+    /// cluster (the cluster-wide checkpoint). A pipelet snapshot that does
+    /// not parse fails the whole call with [`ClusterError::Remote`] naming
+    /// the switch and pipelet, rather than returning a checkpoint with that
+    /// pipelet's state missing.
     #[allow(clippy::type_complexity)]
     pub fn snapshot_state(
         &mut self,

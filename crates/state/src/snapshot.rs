@@ -11,6 +11,13 @@
 //! `dejavu-telemetry`'s self-contained parser (the workspace `serde_json`
 //! shim is write-only). `u128` raw values are encoded as decimal *strings*
 //! so register cells and match values wider than 64 bits survive the trip.
+//!
+//! JSON input is untrusted: snapshots cross the cluster wire between
+//! workers and the controller. [`from_json`] returns `Err` for any
+//! malformed or out-of-range document and never panics, and parsing is
+//! linear in the document's length. `tests/tests/state_json.rs` fuzzes
+//! this with arbitrary round trips, every truncation prefix, random byte
+//! mutations and a size-scaling guard.
 
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Value;
@@ -274,8 +281,15 @@ fn parse_value(v: &Json) -> Result<Value, String> {
     let obj = as_object(v)?;
     let raw = as_u128(field(obj, "raw")?)?;
     let bits = as_u64(field(obj, "bits")?)?;
-    let bits = u16::try_from(bits).map_err(|_| format!("width {bits} out of range"))?;
-    Ok(Value::new(raw, bits))
+    let bits = u16::try_from(bits)
+        .ok()
+        .filter(|b| (1..=128).contains(b))
+        .ok_or_else(|| format!("width {bits} out of range"))?;
+    let value = Value::new(raw, bits);
+    if value.raw() != raw {
+        return Err(format!("raw {raw} does not fit in {bits} bits"));
+    }
+    Ok(value)
 }
 
 fn parse_key_match(v: &Json) -> Result<KeyMatch, String> {
@@ -322,7 +336,7 @@ fn parse_entry(v: &Json) -> Result<TableEntry, String> {
 
 /// Parses the versioned JSON format back into a [`StateSnapshot`].
 pub fn from_json(text: &str) -> Result<StateSnapshot, String> {
-    let root = parse_json(text)?;
+    let root = parse_json(text).map_err(|e| e.to_string())?;
     let obj = as_object(&root)?;
     let version = u32::try_from(as_u64(field(obj, "version")?)?)
         .map_err(|_| "version out of range".to_string())?;
@@ -429,6 +443,21 @@ mod tests {
         assert!(StateSnapshot::from_json("{}").is_err());
         assert!(StateSnapshot::from_json("not json").is_err());
         assert!(StateSnapshot::from_json(r#"{"version":1}"#).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_values() {
+        let text = sample().to_json();
+        let exact = r#"{"raw":"167772161","bits":32}"#;
+        assert!(text.contains(exact));
+        for (bad, why) in [
+            (r#"{"raw":"167772161","bits":0}"#, "width 0"),
+            (r#"{"raw":"167772161","bits":129}"#, "width 129"),
+            (r#"{"raw":"167772161","bits":8}"#, "does not fit in 8 bits"),
+        ] {
+            let err = StateSnapshot::from_json(&text.replacen(exact, bad, 1)).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! The JSON exporter rides on the workspace `serde_json` shim; the parser
 //! exists because the shim is write-only — CI validates an exported
 //! snapshot by parsing it back, and external tools (scripts/check.sh)
-//! need the round-trip to be self-contained.
+//! need the round-trip to be self-contained. [`parse_json`] is the only
+//! JSON parser in the workspace: cluster metrics scrapes and flow-state
+//! snapshots (`dejavu-state`) are read back through it too, so it takes
+//! untrusted input and runs in time linear in its length.
 
 use crate::snapshot::{MetricValue, MetricsSnapshot};
 use serde::json::Value;
@@ -88,20 +91,97 @@ fn original_labels(name: &str) -> &str {
     }
 }
 
+/// Why [`parse_json`] rejected its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset into the input where parsing stopped.
+    pub offset: usize,
+    /// What was wrong there.
+    pub kind: JsonErrorKind,
+}
+
+/// The kinds of malformed input [`parse_json`] reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input ended inside a value.
+    UnexpectedEnd,
+    /// A byte that cannot appear here; `expected` names what could.
+    Unexpected {
+        /// What the grammar allows at this point.
+        expected: &'static str,
+        /// The byte found instead.
+        found: u8,
+    },
+    /// A word starting like `true`, `false` or `null` that is none of them.
+    InvalidLiteral,
+    /// A backslash followed by something other than a JSON escape letter.
+    BadEscape(u8),
+    /// `\u` not followed by exactly four hex digits.
+    BadUnicodeEscape,
+    /// A `\uD800`–`\uDFFF` escape that is not a high surrogate directly
+    /// followed by a low one.
+    LoneSurrogate(u16),
+    /// String contents that are not UTF-8.
+    InvalidUtf8,
+    /// A number that is malformed or does not fit its type.
+    BadNumber(String),
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`].
+    TooDeep,
+    /// Non-whitespace after the top-level value.
+    TrailingData,
+}
+
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the cap keeps hostile input from exhausting the stack; the
+/// documents this workspace writes nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+impl std::fmt::Display for JsonErrorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonErrorKind::UnexpectedEnd => write!(f, "unexpected end of input"),
+            JsonErrorKind::Unexpected { expected, found } => {
+                write!(f, "expected {expected}, found {:?}", *found as char)
+            }
+            JsonErrorKind::InvalidLiteral => write!(f, "invalid literal"),
+            JsonErrorKind::BadEscape(c) => write!(f, "bad escape {:?}", *c as char),
+            JsonErrorKind::BadUnicodeEscape => write!(f, "\\u needs exactly four hex digits"),
+            JsonErrorKind::LoneSurrogate(u) => write!(f, "lone surrogate \\u{u:04x}"),
+            JsonErrorKind::InvalidUtf8 => write!(f, "invalid utf-8 in string"),
+            JsonErrorKind::BadNumber(text) => write!(f, "bad number {text:?}"),
+            JsonErrorKind::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH}"),
+            JsonErrorKind::TrailingData => write!(f, "trailing data"),
+        }
+    }
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} at byte {}", self.kind, self.offset)
+    }
+}
+
+impl std::error::Error for JsonError {}
+
 /// Parses JSON text into the workspace shim's [`Value`]. Supports the full
 /// JSON grammar (objects, arrays, strings with escapes, numbers, booleans,
 /// null); numbers without fraction/exponent parse as `Int`/`UInt`, others
-/// as `Float`. Errors carry a byte offset and description.
-pub fn parse_json(text: &str) -> Result<Value, String> {
+/// as `Float`.
+///
+/// Parsing is linear in the input: string contents are copied one run of
+/// plain bytes at a time, never re-scanned. `\u` escapes take exactly four
+/// hex digits, and a surrogate pair decodes to one character.
+pub fn parse_json(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(p.error(JsonErrorKind::TrailingData));
     }
     Ok(v)
 }
@@ -109,11 +189,27 @@ pub fn parse_json(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    fn error(&self, kind: JsonErrorKind) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            kind,
+        }
+    }
+
+    /// The error for finding something other than `expected` here.
+    fn unexpected(&self, expected: &'static str) -> JsonError {
+        self.error(match self.peek() {
+            Some(found) => JsonErrorKind::Unexpected { expected, found },
+            None => JsonErrorKind::UnexpectedEnd,
+        })
     }
 
     fn skip_ws(&mut self) {
@@ -122,48 +218,50 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8, expected: &'static str) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+            Err(self.unexpected(expected))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            _ => Err(self.unexpected("a value")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+    /// Runs one level of array/object recursion under the depth cap.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(JsonErrorKind::TooDeep));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(self.error(JsonErrorKind::InvalidLiteral))
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
+    fn object(&mut self) -> Result<Value, JsonError> {
+        self.expect(b'{', "'{'")?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -174,7 +272,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect(b':', "':'")?;
             self.skip_ws();
             let value = self.value()?;
             fields.push((key, value));
@@ -185,19 +283,13 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Object(fields));
                 }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
+                _ => return Err(self.unexpected("',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
+    fn array(&mut self) -> Result<Value, JsonError> {
+        self.expect(b'[', "'['")?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -214,75 +306,106 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
+                _ => return Err(self.unexpected("',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"', "'\"'")?;
         let mut s = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one step. The run ends before an ASCII byte (or
+            // at the end of the input), so it never splits a character.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            let plain =
+                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| JsonError {
+                    offset: start + e.valid_up_to(),
+                    kind: JsonErrorKind::InvalidUtf8,
+                })?;
+            s.push_str(plain);
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(self.error(JsonErrorKind::UnexpectedEnd)),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|c| c as char),
-                                self.pos
-                            ))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // The input came from &str and pos only ever advances
-                    // by whole scalars, so this re-validation cannot fail.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => s.push(self.escape()?),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// Decodes one backslash escape; `pos` is at the backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        self.pos += 1;
+        let c = match self.peek() {
+            None => return Err(self.error(JsonErrorKind::UnexpectedEnd)),
+            Some(b'u') => return self.unicode_escape(),
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(other) => return Err(self.error(JsonErrorKind::BadEscape(other))),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Decodes `uXXXX`, or a `uXXXX\uXXXX` surrogate pair, into one
+    /// character; `pos` is at the `u`.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let at = self.pos - 1;
+        let lone = |unit| JsonError {
+            offset: at,
+            kind: JsonErrorKind::LoneSurrogate(unit),
+        };
+        self.pos += 1;
+        let unit = self.hex4()?;
+        let code = match unit {
+            0xd800..=0xdbff => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(lone(unit));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(lone(unit));
+                }
+                0x1_0000 + ((u32::from(unit) - 0xd800) << 10) + (u32::from(low) - 0xdc00)
+            }
+            0xdc00..=0xdfff => return Err(lone(unit)),
+            _ => u32::from(unit),
+        };
+        char::from_u32(code).ok_or_else(|| lone(unit))
+    }
+
+    /// Reads exactly four hex digits.
+    fn hex4(&mut self) -> Result<u16, JsonError> {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
+            return Err(self.error(JsonErrorKind::UnexpectedEnd));
+        };
+        let mut unit = 0u16;
+        for &d in digits {
+            let Some(nibble) = (d as char).to_digit(16) else {
+                return Err(self.error(JsonErrorKind::BadUnicodeEscape));
+            };
+            unit = unit << 4 | nibble as u16;
+        }
+        self.pos += 4;
+        Ok(unit)
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -308,21 +431,19 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
+        // Only ASCII digits, signs, '.' and 'e' were consumed.
+        let text = String::from_utf8_lossy(&self.bytes[start..self.pos]);
+        let parsed = if is_float {
+            text.parse::<f64>().ok().map(Value::Float)
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
+            text.parse::<i64>().ok().map(Value::Int)
         } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
-        }
+            text.parse::<u64>().ok().map(Value::UInt)
+        };
+        parsed.ok_or_else(|| JsonError {
+            offset: start,
+            kind: JsonErrorKind::BadNumber(text.into_owned()),
+        })
     }
 }
 
@@ -354,6 +475,100 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    fn parse_str(text: &str) -> Result<String, JsonError> {
+        match parse_json(text)? {
+            Value::Str(s) => Ok(s),
+            other => panic!("not a string: {other:?}"),
+        }
+    }
+
+    fn kind(text: &str) -> JsonErrorKind {
+        parse_json(text).unwrap_err().kind
+    }
+
+    #[test]
+    fn errors_are_typed_with_offsets() {
+        let e = parse_json("[1,]").unwrap_err();
+        assert_eq!(
+            e,
+            JsonError {
+                offset: 3,
+                kind: JsonErrorKind::Unexpected {
+                    expected: "a value",
+                    found: b']',
+                },
+            }
+        );
+        assert_eq!(e.to_string(), "expected a value, found ']' at byte 3");
+        assert_eq!(
+            kind("{\"a\" 1}"),
+            JsonErrorKind::Unexpected {
+                expected: "':'",
+                found: b'1',
+            }
+        );
+        assert_eq!(kind("[1"), JsonErrorKind::UnexpectedEnd);
+        assert_eq!(kind("nul"), JsonErrorKind::InvalidLiteral);
+        assert_eq!(kind("-"), JsonErrorKind::BadNumber("-".into()));
+        assert_eq!(kind("\"\\q\""), JsonErrorKind::BadEscape(b'q'));
+        assert_eq!(kind("1 2"), JsonErrorKind::TrailingData);
+    }
+
+    #[test]
+    fn plain_runs_keep_multibyte_characters_whole() {
+        let text = "\"aλ→😀\\n\\\"x\"";
+        assert_eq!(parse_str(text).unwrap(), "aλ→😀\n\"x");
+        assert_eq!(parse_str("\"\"").unwrap(), "");
+        assert_eq!(kind("\"aλ"), JsonErrorKind::UnexpectedEnd);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse_str(r#""\u0041\u00e9\u20AC""#).unwrap(), "Aé€");
+        // from_str_radix would accept a sign; JSON does not.
+        assert_eq!(kind(r#""\u+041""#), JsonErrorKind::BadUnicodeEscape);
+        assert_eq!(kind(r#""\u-041""#), JsonErrorKind::BadUnicodeEscape);
+        assert_eq!(kind(r#""\u004""#), JsonErrorKind::BadUnicodeEscape);
+        assert_eq!(kind(r#""\u 041""#), JsonErrorKind::BadUnicodeEscape);
+        assert_eq!(kind(r#""\u00"#), JsonErrorKind::UnexpectedEnd);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        assert_eq!(parse_str(r#""\ud83d\ude00""#).unwrap(), "😀");
+        assert_eq!(parse_str(r#""x\uD834\uDD1Ey""#).unwrap(), "x𝄞y");
+        assert_eq!(parse_str(r#""\udbff\udfff""#).unwrap(), "\u{10ffff}");
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        let lone = |text: &str, unit: u16| {
+            assert_eq!(
+                parse_json(text).unwrap_err(),
+                JsonError {
+                    offset: 1,
+                    kind: JsonErrorKind::LoneSurrogate(unit),
+                },
+                "{text}"
+            );
+        };
+        lone(r#""\ud83d""#, 0xd83d);
+        lone(r#""\ud83dx""#, 0xd83d);
+        lone(r#""\ud83d\u0041""#, 0xd83d);
+        lone(r#""\ud83d\ud83d""#, 0xd83d);
+        lone(r#""\ude00""#, 0xde00);
+        lone(r#""\ude00\ud83d""#, 0xde00);
+        assert_eq!(kind(r#""\ud83d\u12x""#), JsonErrorKind::BadUnicodeEscape);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(kind(&nest(MAX_DEPTH + 1)), JsonErrorKind::TooDeep);
+        assert_eq!(kind(&"{\"a\":".repeat(100_000)), JsonErrorKind::TooDeep);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod export;
 pub mod registry;
 pub mod snapshot;
 
-pub use export::{parse_json, to_json_string, to_prometheus};
+pub use export::{parse_json, to_json_string, to_prometheus, JsonError, JsonErrorKind};
 pub use registry::{
     bucket_of, CounterId, GaugeId, HistogramId, MetricsRegistry, HISTOGRAM_BUCKETS,
 };

@@ -311,6 +311,12 @@ fn main() {
                     outcome.parked_packets,
                     outcome.duration_ns as f64 / 1e6,
                 );
+                let phases: Vec<String> = outcome
+                    .phases_ns
+                    .iter()
+                    .map(|(phase, ns)| format!("{} {:.2}", phase.name(), *ns as f64 / 1e6))
+                    .collect();
+                println!("    phases (ms): {}", phases.join(", "));
                 migrated = true;
             }
         }

@@ -13,8 +13,13 @@ use dejavu_asic::{PipeletId, PortId, Switch, TofinoProfile};
 use dejavu_core::deploy::{deploy, DeployOptions, Deployment};
 use dejavu_core::placement::Placement;
 use dejavu_core::routing::RoutingConfig;
+use dejavu_core::transport::wire::{self, ControlMsg, Message, TelemetryMsg};
+use dejavu_core::transport::{
+    ChannelTransport, Endpoint, FrameSink, Link, PeerAddr, Transport, TransportError,
+};
 use dejavu_core::{ChainSet, NfModule};
 use dejavu_nf::{classifier, firewall, load_balancer, router, vgw};
+use std::sync::{Arc, Mutex};
 
 /// Port where external traffic enters (pipeline 0).
 pub const IN_PORT: PortId = 0;
@@ -240,4 +245,94 @@ pub fn chain_packet(path: u16, dst_ip: u32, dst_port: u16) -> Vec<u8> {
         .src_port(40000 + path)
         .dst_port(dst_port)
         .build()
+}
+
+/// Which frame a [`CorruptingTransport`] mangles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CorruptFrame {
+    /// A worker's state-snapshot reply (the JSON of its first pipelet).
+    Snapshot,
+    /// A worker's metrics-scrape reply.
+    Metrics,
+    /// A controller's restore-state command.
+    Restore,
+}
+
+/// An in-memory [`ChannelTransport`] that, once armed, truncates the JSON
+/// payload of the next frame of one kind on any link, then disarms. The
+/// frame still decodes; only the JSON inside it is broken, which is how
+/// the cluster's JSON error paths are driven end to end.
+#[derive(Debug, Default)]
+pub struct CorruptingTransport {
+    inner: ChannelTransport,
+    armed: Arc<Mutex<Option<CorruptFrame>>>,
+}
+
+impl CorruptingTransport {
+    /// A transport with no endpoints and nothing armed.
+    pub fn new() -> Self {
+        CorruptingTransport::default()
+    }
+
+    /// Corrupts the next `frame` sent on any link.
+    pub fn arm(&self, frame: CorruptFrame) {
+        *self.armed.lock().unwrap() = Some(frame);
+    }
+
+    /// Whether the armed corruption has been applied.
+    pub fn fired(&self) -> bool {
+        self.armed.lock().unwrap().is_none()
+    }
+}
+
+impl Transport for CorruptingTransport {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+
+    fn bind(&mut self, label: &str) -> Result<Endpoint, TransportError> {
+        self.inner.bind(label)
+    }
+
+    fn connect(&mut self, peer: &PeerAddr) -> Result<Link, TransportError> {
+        let link = self.inner.connect(peer)?;
+        Ok(Link::from_sink(Box::new(CorruptingSink {
+            link,
+            armed: Arc::clone(&self.armed),
+        })))
+    }
+}
+
+struct CorruptingSink {
+    link: Link,
+    armed: Arc<Mutex<Option<CorruptFrame>>>,
+}
+
+impl FrameSink for CorruptingSink {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        let mut msg = wire::decode(frame)?;
+        let mut armed = self.armed.lock().unwrap();
+        let json = match (&mut msg, *armed) {
+            (
+                Message::Telemetry(TelemetryMsg::Snapshot { items, .. }),
+                Some(CorruptFrame::Snapshot),
+            ) => items.first_mut().map(|(_, json)| json),
+            (
+                Message::Telemetry(TelemetryMsg::Metrics { json, .. }),
+                Some(CorruptFrame::Metrics),
+            ) => Some(json),
+            (
+                Message::Control(ControlMsg::RestoreState { json, .. }),
+                Some(CorruptFrame::Restore),
+            ) => Some(json),
+            _ => None,
+        };
+        if let Some(json) = json {
+            // Drop the closing brace: still UTF-8, no longer JSON.
+            json.pop();
+            *armed = None;
+        }
+        drop(armed);
+        self.link.send(&msg)
+    }
 }

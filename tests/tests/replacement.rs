@@ -15,17 +15,19 @@ use dejavu_asic::switch::Disposition;
 use dejavu_asic::telemetry::MetricsRegistry;
 use dejavu_asic::{InjectedPacket, MetricsSnapshot, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
-use dejavu_core::multiswitch::{ClusterProblem, ClusterWiring};
+use dejavu_core::multiswitch::{ClusterPlacement, ClusterProblem, ClusterWiring};
 use dejavu_core::orchestrator::{
-    AnnealingSearch, DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec, Orchestrator,
-    OrchestratorConfig, PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome, SwarmSearch,
+    migrate, AnnealingSearch, DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec,
+    MigrationError, MigrationOutcome, MigrationPhase, Orchestrator, OrchestratorConfig,
+    PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome, SwarmSearch,
 };
 use dejavu_core::placement::PlacementProblem;
 use dejavu_core::transport::{
-    spawn_cluster, ChannelTransport, ClusterHandle, ClusterOptions, TcpTransport, Transport,
+    spawn_cluster, ChannelTransport, ClusterError, ClusterHandle, ClusterOptions, TcpTransport,
+    Transport,
 };
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
-use dejavu_integration::{marker_nf, EXIT_PORT, IN_PORT};
+use dejavu_integration::{marker_nf, CorruptFrame, CorruptingTransport, EXIT_PORT, IN_PORT};
 use dejavu_nf::nat::{
     dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_OUT_TABLE,
 };
@@ -350,6 +352,16 @@ fn hitless_replacement(transport: &mut dyn Transport) {
     );
     assert!(outcome.restored_entries >= outcome.flows_migrated + 3);
     assert!(outcome.duration_ns > 0);
+    // Every phase of the window is timed, in order, and the phases tile
+    // the window rather than overrun it.
+    let phases: Vec<MigrationPhase> = outcome.phases_ns.iter().map(|(p, _)| *p).collect();
+    assert_eq!(phases, MigrationPhase::ALL);
+    let phase_sum: u64 = outcome.phases_ns.iter().map(|(_, ns)| ns).sum();
+    assert!(
+        phase_sum <= outcome.duration_ns,
+        "phases sum to {phase_sum} ns, window is {} ns",
+        outcome.duration_ns
+    );
 
     // The in-flight batch landed despite the migration window.
     for _ in 0..inflight.len() {
@@ -502,6 +514,213 @@ fn tcp_snapshot_restore_round_trip_with_flights_in_the_air() {
     }
     assert!(traces.is_empty());
     handle.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Failure paths: a reply or command whose JSON does not parse is an
+// error, never a silent loss, and a migration that fails mid-window
+// still resumes ingress.
+// ---------------------------------------------------------------------
+
+/// The B-heavy weights that move NAT and router onto switch 0.
+const SHIFTED_WEIGHTS: [f64; 2] = [8.0, 1.0];
+
+/// A fleet on a corrupting transport that has learned every NAT flow,
+/// plus its pre- and post-shift placements.
+struct FaultyFleet {
+    nfs: Vec<NfModule>,
+    problem: FleetProblem,
+    pre: ClusterPlacement,
+    post: ClusterPlacement,
+    transport: CorruptingTransport,
+    handle: ClusterHandle,
+}
+
+impl FaultyFleet {
+    fn spawn() -> Self {
+        let nfs = build_nfs();
+        let problem = fleet_problem();
+        let pre = ExhaustiveSearch::default().search(&problem).unwrap();
+        let post = ExhaustiveSearch::default()
+            .search(&problem.with_weights(&SHIFTED_WEIGHTS))
+            .unwrap();
+        assert_ne!(pre.placement, post.placement);
+        let mut transport = CorruptingTransport::new();
+        let refs: Vec<&NfModule> = nfs.iter().collect();
+        let mut handle = spawn_cluster(
+            &refs,
+            problem.chains(),
+            &pre.placement,
+            &TofinoProfile::wedge_100b_32x(),
+            exit_ports(),
+            &ClusterWiring::default(),
+            &deploy_options(),
+            &mut transport,
+            // Short enough that a packet left parked fails the test quickly.
+            &ClusterOptions {
+                op_timeout: Duration::from_secs(5),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        arm_cluster(&mut handle);
+        for f in 0..FLOWS {
+            let t = handle
+                .inject(InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT))
+                .unwrap();
+            assert_eq!(ip_at(&t.final_bytes, 26), PUBLIC_IP);
+        }
+        handle.process_digests().unwrap();
+        FaultyFleet {
+            nfs,
+            problem,
+            pre: pre.placement,
+            post: post.placement,
+            transport,
+            handle,
+        }
+    }
+
+    /// Migrates from the pre-shift to the post-shift placement.
+    fn migrate(&mut self) -> Result<MigrationOutcome, MigrationError> {
+        let refs: Vec<&NfModule> = self.nfs.iter().collect();
+        let wiring = ClusterWiring::default();
+        let deploy = deploy_options();
+        let spec = FleetSpec {
+            nfs: &refs,
+            chains: self.problem.chains(),
+            profile: &TofinoProfile::wedge_100b_32x(),
+            exit_ports: exit_ports(),
+            wiring: &wiring,
+            deploy: &deploy,
+        };
+        migrate(&mut self.handle, &spec, &self.pre, &self.post)
+    }
+
+    /// Every learned flow still translates inbound.
+    fn assert_flows_translate(&mut self, when: &str) {
+        for f in 0..FLOWS {
+            let t = self
+                .handle
+                .inject(InjectedPacket::new(inbound(BASE_PORT + f), IN_PORT))
+                .unwrap_or_else(|e| panic!("{when}: flow {f}: {e}"));
+            assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+            assert_eq!(ip_at(&t.final_bytes, 30), CLIENT, "{when}: flow {f} lost");
+        }
+    }
+}
+
+fn remote_message(e: ClusterError) -> String {
+    match e {
+        ClusterError::Remote(m) => m,
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+}
+
+#[test]
+fn unparseable_scrape_and_snapshot_replies_are_errors() {
+    let mut fleet = FaultyFleet::spawn();
+
+    fleet.transport.arm(CorruptFrame::Metrics);
+    let e = remote_message(fleet.handle.metrics_snapshot().unwrap_err());
+    assert!(fleet.transport.fired());
+    assert!(
+        e.starts_with("switch ") && e.contains("metrics scrape does not parse"),
+        "{e}"
+    );
+    // The next scrape is whole again.
+    assert_eq!(fleet.handle.metrics_snapshot().unwrap().per_switch.len(), 3);
+
+    fleet.transport.arm(CorruptFrame::Snapshot);
+    let e = remote_message(fleet.handle.snapshot_state().unwrap_err());
+    assert!(
+        e.starts_with("switch ")
+            && (e.contains(": ingress") || e.contains(": egress"))
+            && e.contains("state snapshot does not parse"),
+        "{e}"
+    );
+    let snaps = fleet.handle.snapshot_state().unwrap();
+    let learned: usize = snaps
+        .iter()
+        .filter_map(|(_, _, s)| s.table("nat__nat_in"))
+        .map(|t| t.entries.len())
+        .sum();
+    assert_eq!(learned, usize::from(FLOWS));
+    fleet.handle.shutdown().unwrap();
+}
+
+#[test]
+fn failed_snapshot_aborts_the_migration_and_keeps_the_old_placement_serving() {
+    let mut fleet = FaultyFleet::spawn();
+
+    // Flights in the air when the window opens must still land.
+    let mut traces = std::collections::BTreeSet::new();
+    for f in 0..4 {
+        traces.insert(
+            fleet
+                .handle
+                .inject_async(InjectedPacket::new(inbound(BASE_PORT + f), IN_PORT))
+                .unwrap(),
+        );
+    }
+    fleet.transport.arm(CorruptFrame::Snapshot);
+    let err = fleet.migrate().unwrap_err();
+    assert!(
+        matches!(&err, MigrationError::Cluster(ClusterError::Remote(m)) if m.contains("state snapshot does not parse")),
+        "{err}"
+    );
+    for _ in 0..traces.len() {
+        let d = fleet
+            .handle
+            .recv_delivered(Duration::from_secs(30))
+            .unwrap()
+            .expect("in-flight delivery");
+        assert!(traces.remove(&d.trace));
+        assert_eq!(ip_at(&d.result.unwrap().final_bytes, 30), CLIENT);
+    }
+
+    // Ingress is open again and the old members kept their state: the
+    // routing map never flipped and every learned flow still translates.
+    assert_eq!(fleet.handle.switch_of("nat"), Some(1));
+    fleet.assert_flows_translate("after the failed migration");
+
+    // The failure is recoverable: the same migration now succeeds.
+    let outcome = fleet.migrate().unwrap();
+    assert_eq!(outcome.flows_migrated, u64::from(FLOWS) + 2);
+    assert_eq!(fleet.handle.switch_of("nat"), Some(0));
+    fleet.assert_flows_translate("after the retried migration");
+    fleet.handle.shutdown().unwrap();
+}
+
+#[test]
+fn failed_restore_still_resumes_ingress() {
+    let mut fleet = FaultyFleet::spawn();
+    fleet.transport.arm(CorruptFrame::Restore);
+    let err = fleet.migrate().unwrap_err();
+    assert!(
+        matches!(&err, MigrationError::Cluster(ClusterError::Remote(m)) if m.contains("switch ")),
+        "{err}"
+    );
+    assert!(fleet.transport.fired());
+
+    // The window closed despite the failure: packets injected now resolve
+    // (the half-swapped cluster may drop them) instead of parking until
+    // the op timeout.
+    fleet
+        .handle
+        .inject(InjectedPacket::new(mark_packet(5000), IN_PORT))
+        .expect("ingress resumed after the failed migration");
+    let trace = fleet
+        .handle
+        .inject_async(InjectedPacket::new(inbound(BASE_PORT), IN_PORT))
+        .unwrap();
+    let d = fleet
+        .handle
+        .recv_delivered(Duration::from_secs(5))
+        .unwrap()
+        .expect("an async flight resolves after the failed migration");
+    assert_eq!(d.trace, trace);
+    fleet.handle.shutdown().unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -26,9 +26,10 @@
 //! with observationally.
 
 use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::{mask_for, MatchKind, TableDef, Value};
@@ -280,15 +281,73 @@ fn key_sig(m: &KeyMatch) -> Option<(KeySig, u128)> {
     }
 }
 
+/// Multiply–xorshift hash of the stored comparison values of one tuple.
+/// SipHash buys nothing here: every bucket candidate is re-checked with
+/// `entry_matches`, so a collision costs one compare. The per-process seed
+/// keeps learned entries (whose values come from packets) from being
+/// crafted offline into one bucket or one probe chain.
+struct SigHash(u64);
+
+impl SigHash {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        SigHash(*SEED.get_or_init(|| RandomState::new().build_hasher().finish()))
+    }
+
+    fn push(&mut self, v: u128) {
+        for word in [v as u64, (v >> 64) as u64] {
+            self.0 = (self.0 ^ word).wrapping_mul(Self::MUL);
+            self.0 ^= self.0 >> 29;
+        }
+    }
+
+    /// Final avalanche (MurmurHash3 `fmix64`), so both the low bits and the
+    /// top bits a `HashMap` uses are well mixed.
+    fn finish(self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// `Hasher` for maps keyed by a finished [`SigHash`]: the key already is a
+/// well-mixed hash, so it passes through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// Map keyed by a finished [`SigHash`].
+type PreHashed<V> = HashMap<u64, V, BuildHasherDefault<PassThrough>>;
+
 /// Full-tuple signature of an entry plus the hash of its stored comparison
 /// values, or `None` when any key is unhashable (spill).
 fn entry_sig(e: &TableEntry) -> Option<(Vec<KeySig>, u64)> {
     let mut sigs = Vec::with_capacity(e.matches.len());
-    let mut h = DefaultHasher::new();
+    let mut h = SigHash::new();
     for m in &e.matches {
         let (sig, stored) = key_sig(m)?;
         if sig != KeySig::Wild {
-            stored.hash(&mut h);
+            h.push(stored);
         }
         sigs.push(sig);
     }
@@ -299,7 +358,7 @@ fn entry_sig(e: &TableEntry) -> Option<(Vec<KeySig>, u64)> {
 /// width disagrees with the signature (such entries can never match the key,
 /// mirroring width-sensitive `KeyMatch` semantics).
 fn probe_hash(sig: &[KeySig], keys: &[Value]) -> Option<u64> {
-    let mut h = DefaultHasher::new();
+    let mut h = SigHash::new();
     for (s, k) in sig.iter().zip(keys.iter()) {
         match s {
             KeySig::Wild => {}
@@ -307,9 +366,9 @@ fn probe_hash(sig: &[KeySig], keys: &[Value]) -> Option<u64> {
                 if k.bits() != *bits {
                     return None;
                 }
-                (k.raw() & mask).hash(&mut h);
+                h.push(k.raw() & mask);
             }
-            KeySig::Raw => k.raw().hash(&mut h),
+            KeySig::Raw => h.push(k.raw()),
         }
     }
     Some(h.finish())
@@ -654,7 +713,7 @@ impl ClassifierIndex for LpmIndex {
 #[derive(Debug, Clone)]
 struct Tuple {
     sig: Vec<KeySig>,
-    buckets: HashMap<u64, Vec<usize>>,
+    buckets: PreHashed<Vec<usize>>,
     /// Multiset of live ranks; the max key drives the probe order.
     rank_counts: BTreeMap<Rank, u32>,
     len: usize,
@@ -736,7 +795,7 @@ impl ClassifierIndex for TupleSpaceIndex {
                         let t = self.tuples.len();
                         self.tuples.push(Tuple {
                             sig: sig.clone(),
-                            buckets: HashMap::new(),
+                            buckets: PreHashed::default(),
                             rank_counts: BTreeMap::new(),
                             len: 0,
                         });
@@ -795,7 +854,7 @@ impl ClassifierIndex for TupleSpaceIndex {
                 if tuple.len == 0 {
                     // Tombstone the slot; ids are stable so no remapping.
                     self.by_sig.remove(&sig);
-                    self.tuples[tid].buckets = HashMap::new();
+                    self.tuples[tid].buckets = PreHashed::default();
                     self.probe_order.retain(|&t| t != tid);
                     self.live_tuples -= 1;
                 } else if self.tuples[tid].max_rank() != old_max {
@@ -877,8 +936,9 @@ impl ClassifierIndex for TupleSpaceIndex {
 
 /// Leaf size below which a node is not cut further.
 const LEAF_MAX: usize = 8;
-/// Local-list size above which an incremental insert demands a rebuild.
-const LEAF_SPLIT: usize = 64;
+/// Incremental inserts absorbed beyond half the built size before the tree
+/// is rebuilt (the geometric trigger in `DecisionTreeIndex::insert`).
+const REBUILD_SLACK: usize = 64;
 /// Maximum tree depth.
 const MAX_DEPTH: usize = 24;
 /// Bits consumed per cut (fan-out `2^CUT_BITS`).
@@ -1088,7 +1148,7 @@ impl ClassifierIndex for DecisionTreeIndex {
     fn insert(&mut self, entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
         let rank = ranks[idx];
         self.grown += 1;
-        if self.grown > self.built_len / 2 + LEAF_SPLIT {
+        if self.grown > self.built_len / 2 + REBUILD_SLACK {
             return false;
         }
         let mut node = 0usize;
@@ -1096,18 +1156,15 @@ impl ClassifierIndex for DecisionTreeIndex {
         loop {
             let n = &mut self.nodes[node];
             n.max_rank = Some(n.max_rank.map_or(rank, |m| m.max(rank)));
+            // Local lists grow freely between rebuilds: a rebuild cannot
+            // shrink a list of entries that pin no cut window, so an
+            // overflow trigger here would rebuild on nearly every insert.
             let Some(cut) = n.cut else {
-                if n.local.len() >= LEAF_SPLIT {
-                    return false;
-                }
                 ordered_insert(&mut n.local, ranks, idx);
                 return true;
             };
             match cut_value(&entries[idx].matches[cut.dim], &cut) {
                 None => {
-                    if n.local.len() >= LEAF_SPLIT {
-                        return false;
-                    }
                     ordered_insert(&mut n.local, ranks, idx);
                     return true;
                 }
@@ -1250,8 +1307,9 @@ fn tcam_kind(n: usize, tuples: usize, spill: usize) -> IndexKind {
 }
 
 /// Desired kind after an incremental install, given the current index's
-/// self-reported stats. Sticky: a decision tree stays a decision tree until
-/// a rebuild re-evaluates from scratch.
+/// self-reported stats. A decision tree reports no tuple count, so it stays
+/// a tree until its next rebuild, which re-chooses the kind from the
+/// entries (`auto_kind_from_entries`).
 pub(crate) fn auto_kind_after_insert(
     shape: TableShape,
     n: usize,

@@ -130,7 +130,9 @@ impl TableRt {
         self.action_ords.push(action_ord);
         self.last_hit.push(Cell::new(now));
         if !self.index.insert(&self.entries, &self.ranks, idx) {
-            self.rebuild_index();
+            // Every rebuild re-chooses the kind from the entries, so a kind
+            // picked at a small size does not outlive the ruleset it fit.
+            self.reindex_auto();
         }
         self.maybe_migrate();
     }

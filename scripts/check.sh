@@ -128,6 +128,23 @@ if allocs is not None:
 print("committed BENCH_dataplane.json flags OK")
 EOF
 
+# Benchmark smoke: every perfbench workload runs a short closed loop end to
+# end (it builds its own release binary) and its result line must report
+# correct outputs and zero failed operations — bounded, because a hang here
+# means a workload's closed loop deadlocked.
+for workload in edge_sfc cluster_spill nat_churn; do
+    result=$(timeout 300 python3 perfbench/run.py --workload "$workload" \
+        --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    python3 - "$workload" "$result" <<'EOF'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+assert result.get("correct") is True, f"perfbench {workload}: outputs not correct: {line}"
+assert result.get("failed") == 0, f"perfbench {workload}: failed operations: {line}"
+print(f"perfbench {workload} smoke OK ({result['attempted']} operations)")
+EOF
+done
+
 # Docs gate: rustdoc must stay warning-free (broken intra-doc links are
 # the usual regression).
 doclog=$(cargo doc --workspace --no-deps -q 2>&1)

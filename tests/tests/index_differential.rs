@@ -1,14 +1,18 @@
 //! Differential property test for the classification-index subsystem.
 //!
 //! The pluggable table indexes (`Scan`, `TupleSpace`, `DecisionTree`) are
-//! pure lookup accelerators: forcing any of them on the same table must be
-//! observationally invisible. For random mixed rulesets — ternary masks
-//! (prefix and scattered), LPM prefixes, ranges (including degenerate
-//! point ranges), overlapping priorities with deliberate duplicate-rank
-//! ties — driven through a random interleaving of installs, deletes,
-//! idle-timeout aging sweeps, and packet injections, six switches must
-//! agree on everything: three forced index policies × both execution
-//! engines (reference interpreter and compiled fast path).
+//! pure lookup accelerators: forcing any of them on the same table, or
+//! letting the auto policy migrate between them, must be observationally
+//! invisible. For random mixed rulesets — ternary masks (prefix and
+//! scattered), LPM prefixes, ranges (including degenerate point ranges),
+//! overlapping priorities with deliberate duplicate-rank ties — driven
+//! through a random interleaving of installs, deletes, idle-timeout aging
+//! sweeps, and packet injections, eight switches must agree on everything:
+//! three forced index policies plus `Auto` × both execution engines
+//! (reference interpreter and compiled fast path). Half the cases start
+//! from a bulk install of 100–300 rules, so `Auto` crosses
+//! tuple-space → decision tree → tuple-space mid-churn and tree-local lists
+//! grow long between the tree's geometric rebuilds.
 //!
 //! Checked surface: every traversal (events, disposition, bytes), the
 //! surviving entry list after churn, hit/miss counters, eviction counts,
@@ -168,22 +172,23 @@ fn cls_packet(src: u8, dst: u8, ttl: u8) -> Vec<u8> {
         .build()
 }
 
-/// The six switches under test: every forced index policy on both engines.
-const POLICIES: [IndexKind; 3] = [
-    IndexKind::Scan,
-    IndexKind::TupleSpace,
-    IndexKind::DecisionTree,
+/// The eight switches under test: every forced index policy and the auto
+/// policy, on both engines.
+const POLICIES: [IndexPolicy; 4] = [
+    IndexPolicy::Force(IndexKind::Scan),
+    IndexPolicy::Force(IndexKind::TupleSpace),
+    IndexPolicy::Force(IndexKind::DecisionTree),
+    IndexPolicy::Auto,
 ];
 
-fn cls_testbed(program: &Program, kind: IndexKind, mode: ExecMode) -> Switch {
+fn cls_testbed(program: &Program, policy: IndexPolicy, mode: ExecMode) -> Switch {
     let pid = PipeletId::ingress(0);
     let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
     sw.set_exec_mode(mode);
     sw.set_telemetry(true);
     sw.load_program(pid, program.clone()).unwrap();
     sw.set_idle_timeout(pid, "cls", Some(2)).unwrap();
-    sw.set_table_index(pid, "cls", IndexPolicy::Force(kind))
-        .unwrap();
+    sw.set_table_index(pid, "cls", policy).unwrap();
     sw
 }
 
@@ -214,19 +219,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// `lookup_scan`, tuple-space, and decision-tree must be
-    /// observationally identical on both engines under churn.
+    /// `lookup_scan`, tuple-space, decision-tree and the auto policy must
+    /// be observationally identical on both engines under churn.
     #[test]
     fn forced_indexes_agree_under_churn(
-        initial in proptest::collection::vec(arb_rule(), 0..24),
+        initial in prop_oneof![
+            proptest::collection::vec(arb_rule(), 0..24),
+            proptest::collection::vec(arb_rule(), 100..300),
+        ],
         ops in proptest::collection::vec(arb_op(), 1..32),
     ) {
         let program = cls_program();
         let pid = PipeletId::ingress(0);
-        let mut switches: Vec<(IndexKind, ExecMode, Switch)> = Vec::new();
-        for kind in POLICIES {
+        let mut switches: Vec<(IndexPolicy, ExecMode, Switch)> = Vec::new();
+        for policy in POLICIES {
             for mode in [ExecMode::Reference, ExecMode::Compiled] {
-                switches.push((kind, mode, cls_testbed(&program, kind, mode)));
+                switches.push((policy, mode, cls_testbed(&program, policy, mode)));
             }
         }
 
@@ -306,35 +314,37 @@ proptest! {
 
         // Forced policies must have stuck — a migration behind the user's
         // back would make the comparison vacuous.
-        for (kind, mode, sw) in &switches {
-            prop_assert_eq!(
-                sw.table_index_kind(pid, "cls"), Some(*kind),
-                "forced {:?} policy drifted on {:?}", kind, mode
-            );
+        for (policy, mode, sw) in &switches {
+            if let IndexPolicy::Force(kind) = policy {
+                prop_assert_eq!(
+                    sw.table_index_kind(pid, "cls"), Some(*kind),
+                    "forced {:?} policy drifted on {:?}", kind, mode
+                );
+            }
         }
 
-        // Post-churn table state must agree across all six switches.
+        // Post-churn table state must agree across all eight switches.
         let baseline = &switches[0].2;
         let entries0 = baseline.tables(pid).unwrap().entries("cls");
         let counters0 = baseline.tables(pid).unwrap().counters("cls");
         let evictions0 = baseline.tables(pid).unwrap().evictions("cls");
-        for (kind, mode, sw) in switches.iter().skip(1) {
+        for (policy, mode, sw) in switches.iter().skip(1) {
             let ts = sw.tables(pid).unwrap();
             prop_assert_eq!(
                 &entries0, &ts.entries("cls"),
-                "surviving entries diverged on {:?}/{:?}", kind, mode
+                "surviving entries diverged on {:?}/{:?}", policy, mode
             );
             prop_assert_eq!(
                 counters0, ts.counters("cls"),
-                "hit/miss counters diverged on {:?}/{:?}", kind, mode
+                "hit/miss counters diverged on {:?}/{:?}", policy, mode
             );
             prop_assert_eq!(
                 evictions0, ts.evictions("cls"),
-                "eviction counts diverged on {:?}/{:?}", kind, mode
+                "eviction counts diverged on {:?}/{:?}", policy, mode
             );
         }
 
-        // Within each forced policy, both engines must expose identical
+        // Within each policy, both engines must expose identical
         // telemetry — including the table_index_kind / table_index_probes
         // / table_index_rebuilds / probe- and tree-depth series, because
         // the reference interpreter routes lookups through the very same
@@ -346,5 +356,83 @@ proptest! {
                 "metrics snapshots diverged between engines under {:?}", pair[0].0
             );
         }
+    }
+}
+
+/// Deterministic witness for the scenario the bulk branch above targets:
+/// under `Auto`, a bulk install migrates tuple-space → decision tree, the
+/// tree's root list outgrows 64 entries between geometric rebuilds, and an
+/// aging sweep shrinks the table back to tuple-space — all while every
+/// lookup agrees with the forced scan.
+#[test]
+fn auto_migrates_both_ways_under_bulk_churn() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1dc5);
+    let mut rule = || GenRule {
+        src_seed: rng.gen(),
+        src_mask: rng.gen(),
+        dst_seed: rng.gen(),
+        dst_len: rng.gen(),
+        ttl_lo: rng.gen(),
+        ttl_span: rng.gen(),
+        action: rng.gen(),
+        priority: rng.gen(),
+    };
+    let program = cls_program();
+    let pid = PipeletId::ingress(0);
+    let mut auto = cls_testbed(&program, IndexPolicy::Auto, ExecMode::Compiled);
+    let mut scan = cls_testbed(
+        &program,
+        IndexPolicy::Force(IndexKind::Scan),
+        ExecMode::Compiled,
+    );
+    let mut kinds = vec![auto.table_index_kind(pid, "cls").unwrap()];
+    let mut longest_root_list = 0;
+    let check = |auto: &mut Switch, scan: &mut Switch, k: u8| {
+        let pkt = cls_packet(k, k / 16, k / 3);
+        assert_eq!(
+            auto.inject(InjectedPacket::new(pkt.clone(), 0)).unwrap(),
+            scan.inject(InjectedPacket::new(pkt, 0)).unwrap(),
+            "auto diverged from scan on packet seed {k}"
+        );
+    };
+    for i in 0..300u16 {
+        let e = rule_entry(rule());
+        auto.install_entry(pid, "cls", e.clone()).unwrap();
+        scan.install_entry(pid, "cls", e).unwrap();
+        let kind = auto.table_index_kind(pid, "cls").unwrap();
+        if kind == IndexKind::DecisionTree {
+            let stats = auto.tables(pid).unwrap().index_stats("cls").unwrap();
+            longest_root_list = longest_root_list.max(stats.spill);
+        }
+        kinds.push(kind);
+        check(&mut auto, &mut scan, i as u8);
+    }
+    // Keep a few flows warm across the sweep so the table does not empty.
+    for _ in 0..2 {
+        auto.advance_time(1);
+        scan.advance_time(1);
+        for k in 0..4 {
+            check(&mut auto, &mut scan, k);
+        }
+    }
+    kinds.push(auto.table_index_kind(pid, "cls").unwrap());
+    kinds.dedup();
+    assert_eq!(
+        kinds,
+        [
+            IndexKind::TupleSpace,
+            IndexKind::DecisionTree,
+            IndexKind::TupleSpace
+        ],
+        "auto kind sequence"
+    );
+    assert!(
+        longest_root_list > 64,
+        "root list peaked at {longest_root_list} entries"
+    );
+    assert!(!auto.tables(pid).unwrap().entries("cls").is_empty());
+    for k in 0..=255 {
+        check(&mut auto, &mut scan, k);
     }
 }
